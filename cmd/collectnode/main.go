@@ -73,7 +73,6 @@ func run(args []string) error {
 		gamma         = fs.Float64("gamma", 0.2, "block expiry rate per second")
 		bufferCap     = fs.Int("buffer", 512, "buffer capacity in blocks")
 		pullRate      = fs.Float64("pullrate", 20, "server pulls per second")
-		decodeWorkers = fs.Int("decode-workers", 0, "server mode: decode completed segments on this many workers (0 = synchronous)")
 		shards        = fs.Int("shards", 0, "server mode: total shard count of the fleet this server belongs to (0 or 1 = standalone)")
 		shardID       = fs.Int("shard-id", 0, "server mode: this server's shard index in [0, shards)")
 		shardBook     = fs.String("shard-book", "", "server mode: shardID=nodeID,... mapping every fleet shard to its transport id (addresses come from -book)")
@@ -188,13 +187,12 @@ func run(args []string) error {
 			return fmt.Errorf("-peers: %w", err)
 		}
 		srvCfg := p2pcollect.ServerConfig{
-			PullRate:      *pullRate,
-			Peers:         ids,
-			Membership:    swim,
-			Seed:          *seed,
-			DebugAddr:     *debugAddr,
-			DecodeWorkers: *decodeWorkers,
-			FlightPath:    *flightPath,
+			PullRate:   *pullRate,
+			Peers:      ids,
+			Membership: swim,
+			Seed:       *seed,
+			DebugAddr:  *debugAddr,
+			FlightPath: *flightPath,
 		}
 		if *walDir != "" {
 			sm, err := p2pcollect.ParseWALSyncMode(*walSync)

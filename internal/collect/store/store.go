@@ -35,9 +35,8 @@ type Store interface {
 	Collection(seg rlnc.SegmentID) *peercore.Collection
 	// OpenCount returns how many collections are currently open.
 	OpenCount() int
-	// Forget discards a segment's open collection without releasing its
-	// storage (callers that hand the collection elsewhere — e.g. a decode
-	// pool — own the release).
+	// Forget discards a segment's open collection; a segment with none
+	// is a no-op.
 	Forget(seg rlnc.SegmentID)
 	// Range visits every open collection, in no particular order. Callers
 	// must not mutate the store while ranging.
@@ -47,7 +46,7 @@ type Store interface {
 	MarkFinished(seg rlnc.SegmentID)
 	// Finished reports whether the segment is in the finished set.
 	Finished(seg rlnc.SegmentID) bool
-	// Close releases every open collection's storage.
+	// Close discards every open collection.
 	Close() error
 }
 
@@ -55,7 +54,7 @@ type Store interface {
 // can reconstruct collections that reached full rank before the crash but
 // whose completion never became durable. The collection service flushes
 // these through its normal completion path (finished set, delivery gate,
-// decode pool) at Start, so a recovered segment is delivered exactly as a
+// decode) at Start, so a recovered segment is delivered exactly as a
 // freshly decoded one would be — and dropped if the delivery journal shows
 // another party already claimed it.
 type Recovered interface {
@@ -79,9 +78,6 @@ type MemoryConfig struct {
 	// first; a forgotten segment would merely be decoded again). Zero
 	// selects DefaultFinishedCap.
 	FinishedCap int
-	// DeferPayload opens collections with deferred decoders (payload solve
-	// at Decode, pooled rows — see peercore.CollectorConfig).
-	DeferPayload bool
 	// Sink receives the collector's protocol events; nil discards them.
 	Sink peercore.EventSink
 }
@@ -123,10 +119,7 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 }
 
 func (m *Memory) newCollector(segmentSize int) *peercore.Collector {
-	return peercore.NewCollector(peercore.CollectorConfig{
-		SegmentSize:  segmentSize,
-		DeferPayload: m.cfg.DeferPayload,
-	}, m.cfg.Sink)
+	return peercore.NewCollector(peercore.CollectorConfig{SegmentSize: segmentSize}, m.cfg.Sink)
 }
 
 // SegmentSize implements Store.
@@ -221,9 +214,9 @@ func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) {
 	}
 }
 
-// Close implements Store: every open collection's pooled rows go back to
-// the slab free list, and the finished set is cleared — a reused store
-// starts empty instead of reporting stale Finished hits.
+// Close implements Store: every open collection is forgotten and the
+// finished set is cleared — a reused store starts empty instead of
+// reporting stale Finished hits.
 func (m *Memory) Close() error {
 	if m.collector != nil {
 		open := make([]rlnc.SegmentID, 0, m.collector.OpenCount())
@@ -231,9 +224,6 @@ func (m *Memory) Close() error {
 			open = append(open, seg)
 		})
 		for _, seg := range open {
-			if col := m.collector.Collection(seg); col != nil {
-				col.Release()
-			}
 			m.collector.Forget(seg)
 		}
 	}

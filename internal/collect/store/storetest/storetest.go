@@ -93,7 +93,6 @@ func testOps(t *testing.T, open Factory) {
 
 	// Finish segA the way the collection service does.
 	st.MarkFinished(segA)
-	colA.Release()
 	st.Forget(segA)
 	if !st.Finished(segA) {
 		t.Error("segA not finished")
@@ -194,7 +193,6 @@ func testDifferential(t *testing.T, open Factory) {
 				// Complete the segment, as the service would.
 				for _, store := range []store.Store{st, ref} {
 					store.MarkFinished(id)
-					store.Collection(id).Release()
 					store.Forget(id)
 				}
 				note("finish", id, op)
@@ -203,20 +201,12 @@ func testDifferential(t *testing.T, open Factory) {
 			if (st.Collection(id) != nil) != (ref.Collection(id) != nil) {
 				t.Fatalf("op %d: Collection(%v) presence disagrees", op, id)
 			}
-			if col := st.Collection(id); col != nil {
-				col.Release()
-				ref.Collection(id).Release()
-			}
 			st.Forget(id)
 			ref.Forget(id)
 			note("forget", id, op)
 		default: // finish without decode (remote completion)
 			st.MarkFinished(id)
 			ref.MarkFinished(id)
-			if col := st.Collection(id); col != nil {
-				col.Release()
-				ref.Collection(id).Release()
-			}
 			st.Forget(id)
 			ref.Forget(id)
 			note("finish-remote", id, op)

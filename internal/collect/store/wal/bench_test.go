@@ -111,7 +111,6 @@ func benchReceive(b *testing.B, st store.Store) {
 			b.Fatal(err)
 		}
 		if col.RankDeficit() == 0 {
-			col.Release()
 			st.Forget(cb.Seg)
 		}
 	}

@@ -92,14 +92,13 @@ type Config struct {
 type Options struct {
 	Config
 
-	// SegmentSize, FinishedCap, DeferPayload, Sink mirror
-	// store.MemoryConfig for the in-RAM state the log shadows. A loaded
-	// snapshot's segment size takes precedence over SegmentSize — it is
-	// what the logged records were coded under.
-	SegmentSize  int
-	FinishedCap  int
-	DeferPayload bool
-	Sink         peercore.EventSink
+	// SegmentSize, FinishedCap, Sink mirror store.MemoryConfig for the
+	// in-RAM state the log shadows. A loaded snapshot's segment size takes
+	// precedence over SegmentSize — it is what the logged records were
+	// coded under.
+	SegmentSize int
+	FinishedCap int
+	Sink        peercore.EventSink
 
 	// AppendLatency observes seconds spent framing + writing (+ fsyncing,
 	// in SyncAlways mode) each record.
@@ -250,10 +249,9 @@ func Open(opts Options) (*Store, error) {
 		segSize = snap.segmentSize
 	}
 	mem, err := store.NewMemory(store.MemoryConfig{
-		SegmentSize:  segSize,
-		FinishedCap:  opts.FinishedCap,
-		DeferPayload: opts.DeferPayload,
-		Sink:         w.gate,
+		SegmentSize: segSize,
+		FinishedCap: opts.FinishedCap,
+		Sink:        w.gate,
 	})
 	if err != nil {
 		return nil, err
@@ -409,16 +407,10 @@ func applyRecord(mem *store.Memory, rec record) {
 		cb := rlnc.CodedBlock{Seg: rec.seg, Coeffs: rec.coeffs, Payload: rec.payload}
 		mem.Receive(0, &cb) //nolint:errcheck // a malformed block replays as the rejection it was
 	case recFinished:
-		if col := mem.Collection(rec.seg); col != nil {
-			col.Release()
-			mem.Forget(rec.seg)
-		}
+		mem.Forget(rec.seg)
 		mem.MarkFinished(rec.seg)
 	case recForget:
-		if col := mem.Collection(rec.seg); col != nil {
-			col.Release()
-			mem.Forget(rec.seg)
-		}
+		mem.Forget(rec.seg)
 	}
 }
 
@@ -504,7 +496,11 @@ func (w *Store) drain(sync bool) error {
 func (w *Store) drainLocked(sync bool) error {
 	w.wmu.Lock()
 	b := w.batch
-	w.batch = w.spare[:0]
+	// Swap unconditionally: keeping the old spare after an empty or failed
+	// drain would leave it aliasing the new batch, and the next drain would
+	// write that array while appends grow it. Only drains, serialized by
+	// iomu, reuse spare, so it may point at b while b is being written.
+	w.batch, w.spare = w.spare[:0], b[:0]
 	closed := w.closed
 	w.wmu.Unlock()
 	if closed {
@@ -514,7 +510,6 @@ func (w *Store) drainLocked(sync bool) error {
 		if _, err := w.f.Write(b); err != nil {
 			return err
 		}
-		w.spare = b[:0]
 	}
 	if sync {
 		return w.f.Sync()

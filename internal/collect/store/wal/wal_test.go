@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
 	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/collect/store/storetest"
@@ -113,74 +116,71 @@ func TestRecordRoundTrip(t *testing.T) {
 
 // TestCloseReopen checks the clean-shutdown path: Close snapshots, so a
 // reopen is a pure snapshot load (no replay) that resumes exact rank and
-// state and decodes to the same bytes.
+// state and decodes to the same bytes. The store's decoder reduces each
+// block on arrival, hence the single "eager" case.
 func TestCloseReopen(t *testing.T) {
-	for _, defer_ := range []bool{false, true} {
-		name := "eager"
-		if defer_ {
-			name = "deferred"
+	t.Run("eager", testCloseReopenEager)
+}
+
+func testCloseReopenEager(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(3)
+	const s, payloadLen = 5, 48
+	idA := rlnc.SegmentID{Origin: 1, Seq: 1}
+	idB := rlnc.SegmentID{Origin: 1, Seq: 2}
+	segA := makeSegment(t, rng, idA, s, payloadLen)
+	segB := makeSegment(t, rng, idB, s, payloadLen)
+
+	w := openStore(t, dir, nil)
+	for i := 0; i < s-2; i++ {
+		if _, _, err := w.Receive(1, segA.Encode(rng)); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			rng := randx.New(3)
-			const s, payloadLen = 5, 48
-			idA := rlnc.SegmentID{Origin: 1, Seq: 1}
-			idB := rlnc.SegmentID{Origin: 1, Seq: 2}
-			segA := makeSegment(t, rng, idA, s, payloadLen)
-			segB := makeSegment(t, rng, idB, s, payloadLen)
-
-			w := openStore(t, dir, func(o *Options) { o.DeferPayload = defer_ })
-			for i := 0; i < s-2; i++ {
-				if _, _, err := w.Receive(1, segA.Encode(rng)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.MarkFinished(idB)
-			wantRank := w.Collection(idA).Rank()
-			wantState := w.Collection(idA).State()
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			w2 := openStore(t, dir, func(o *Options) { o.DeferPayload = defer_ })
-			defer w2.Close() //nolint:errcheck // tmp dir
-			rs := w2.Recovery()
-			if !rs.SnapshotLoaded {
-				t.Error("no snapshot loaded after clean Close")
-			}
-			if rs.ReplayedRecords != 0 {
-				t.Errorf("replayed %d records after clean Close, want 0", rs.ReplayedRecords)
-			}
-			col := w2.Collection(idA)
-			if col == nil {
-				t.Fatal("segment A not recovered")
-			}
-			if col.Rank() != wantRank || col.State() != wantState {
-				t.Errorf("recovered rank/state = %d/%d, want %d/%d",
-					col.Rank(), col.State(), wantRank, wantState)
-			}
-			if !w2.Finished(idB) {
-				t.Error("finished set not recovered")
-			}
-
-			// Finishing the segment post-recovery decodes the source bytes.
-			for col.RankDeficit() > 0 {
-				if _, _, err := w2.Receive(2, segA.Encode(rng)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			decoded, err := col.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, want := range segA.Blocks {
-				if !bytes.Equal(decoded[i], want) {
-					t.Fatalf("decoded block %d differs after recovery", i)
-				}
-			}
-			_ = segB
-		})
 	}
+	w.MarkFinished(idB)
+	wantRank := w.Collection(idA).Rank()
+	wantState := w.Collection(idA).State()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := openStore(t, dir, nil)
+	defer w2.Close() //nolint:errcheck // tmp dir
+	rs := w2.Recovery()
+	if !rs.SnapshotLoaded {
+		t.Error("no snapshot loaded after clean Close")
+	}
+	if rs.ReplayedRecords != 0 {
+		t.Errorf("replayed %d records after clean Close, want 0", rs.ReplayedRecords)
+	}
+	col := w2.Collection(idA)
+	if col == nil {
+		t.Fatal("segment A not recovered")
+	}
+	if col.Rank() != wantRank || col.State() != wantState {
+		t.Errorf("recovered rank/state = %d/%d, want %d/%d",
+			col.Rank(), col.State(), wantRank, wantState)
+	}
+	if !w2.Finished(idB) {
+		t.Error("finished set not recovered")
+	}
+
+	// Finishing the segment post-recovery decodes the source bytes.
+	for col.RankDeficit() > 0 {
+		if _, _, err := w2.Receive(2, segA.Encode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded, err := col.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range segA.Blocks {
+		if !bytes.Equal(decoded[i], want) {
+			t.Fatalf("decoded block %d differs after recovery", i)
+		}
+	}
+	_ = segB
 }
 
 // TestCrashRecoveryExactRank checks the headline guarantee: in SyncAlways
@@ -350,7 +350,6 @@ func TestSnapshotCompaction(t *testing.T) {
 			}
 		}
 		w.MarkFinished(id)
-		w.Collection(id).Release()
 		w.Forget(id)
 	}
 	logs, snaps, err := scanDir(dir)
@@ -404,7 +403,6 @@ func TestRecoveredDecoded(t *testing.T) {
 		}
 	}
 	w.MarkFinished(idDone)
-	w.Collection(idDone).Release()
 	w.Forget(idDone)
 	w.Crash()
 
@@ -490,5 +488,92 @@ func TestParseSyncMode(t *testing.T) {
 		if err == nil && got.String() == "" {
 			t.Errorf("SyncMode(%v).String() empty", got)
 		}
+	}
+}
+
+// TestDrainKeepsBatchAndSpareDisjoint pins the group-commit buffer swap: an
+// empty drain must not leave the spare buffer aliasing the live batch, or
+// the next drain would write an array that concurrent appends are still
+// growing, interleaving bytes of a later record into an earlier one.
+func TestDrainKeepsBatchAndSpareDisjoint(t *testing.T) {
+	// SyncNone with an hour-long tick: only the explicit drains below run.
+	w := openStore(t, t.TempDir(), func(o *Options) {
+		o.Sync = SyncNone
+		o.SyncInterval = time.Hour
+	})
+	defer w.Close() //nolint:errcheck // tmp dir
+	rec := record{typ: recForget, seg: rlnc.SegmentID{Origin: 1, Seq: 1}}
+	if err := w.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.drain(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.drain(false); err != nil { // nothing pending
+		t.Fatal(err)
+	}
+	if err := w.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	w.wmu.Lock()
+	shared := cap(w.batch) > 0 && cap(w.spare) > 0 && unsafe.SliceData(w.batch) == unsafe.SliceData(w.spare)
+	w.wmu.Unlock()
+	if shared {
+		t.Fatal("batch and spare share a backing array after an empty drain")
+	}
+}
+
+// TestConcurrentDrainsKeepRecordsIntact appends while a second goroutine
+// and the flusher drain, often finding the batch empty, then replays the
+// log: every record must come back intact and in full. Run it under -race.
+func TestConcurrentDrainsKeepRecordsIntact(t *testing.T) {
+	dir := t.TempDir()
+	w := openStore(t, dir, func(o *Options) {
+		o.Sync = SyncNone
+		o.SyncInterval = time.Millisecond
+	})
+	const n = 20000
+	stop := make(chan struct{})
+	drained := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				drained <- nil
+				return
+			default:
+			}
+			// Back-to-back drains: the second usually finds the batch
+			// empty while appends continue.
+			for k := 0; k < 2; k++ {
+				if err := w.drain(false); err != nil {
+					drained <- err
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+		if err := w.append(record{typ: recForget, seg: rlnc.SegmentID{Origin: 2, Seq: uint64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.drain(false); err != nil {
+		t.Fatal(err)
+	}
+	w.Crash()
+	rs, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.TornTail || rs.ReplayedRecords != n {
+		t.Fatalf("replayed %d records (torn tail %v), want %d intact", rs.ReplayedRecords, rs.TornTail, n)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"p2pcollect/internal/gf256"
-	"p2pcollect/internal/slab"
 )
 
 // ErrSingular is returned when a linear system has no unique solution.
@@ -217,7 +216,6 @@ type Echelon struct {
 	// coding traffic mostly consists of redundant arrivals, this removes
 	// the per-arrival allocation from the innovation check.
 	scratch []byte
-	pooled  bool // rows and scratch come from the slab free list
 }
 
 // NewEchelon returns an empty basis for vectors of the given width.
@@ -226,15 +224,6 @@ func NewEchelon(width int) *Echelon {
 		panic("gfmat: echelon width must be positive")
 	}
 	return &Echelon{width: width}
-}
-
-// NewEchelonPooled returns an empty basis whose rows are drawn from the
-// slab free list. Call Release when the basis is no longer needed so the
-// rows return to the pool; the basis remains usable (empty) afterwards.
-func NewEchelonPooled(width int) *Echelon {
-	e := NewEchelon(width)
-	e.pooled = true
-	return e
 }
 
 // Width returns the vector width.
@@ -267,22 +256,14 @@ func (e *Echelon) Insert(v []byte) bool {
 // it if the previous one was promoted into the basis.
 func (e *Echelon) scratchRow() []byte {
 	if e.scratch == nil {
-		e.scratch = e.newRow()
+		e.scratch = make([]byte, e.width)
 	}
 	return e.scratch[:e.width]
 }
 
-func (e *Echelon) newRow() []byte {
-	if e.pooled {
-		return slab.Get(e.width)
-	}
-	return make([]byte, e.width)
-}
-
 // InsertOwned is like Insert but takes ownership of v, which may be
 // modified and retained. Use it to avoid a copy when the caller no longer
-// needs the vector. In a pooled basis, ownership extends to Release: the
-// row may be handed to the slab free list.
+// needs the vector.
 func (e *Echelon) InsertOwned(v []byte) bool {
 	if len(v) != e.width {
 		panic(fmt.Sprintf("gfmat: echelon width %d, vector width %d", e.width, len(v)))
@@ -341,29 +322,10 @@ func (e *Echelon) Contains(v []byte) bool {
 	return firstNonZero(w) < 0
 }
 
-// Reset empties the basis, retaining capacity where possible. For a pooled
-// basis the rows stay checked out; use Release to hand them back.
+// Reset empties the basis, retaining capacity where possible.
 func (e *Echelon) Reset() {
 	e.pivots = e.pivots[:0]
 	e.rows = e.rows[:0]
-}
-
-// Release empties the basis and, when it was built with NewEchelonPooled,
-// returns every stored row and the scratch buffer to the slab free list.
-// The caller must not retain references to rows previously handed over via
-// InsertOwned. The basis remains usable (empty) afterwards.
-func (e *Echelon) Release() {
-	if e.pooled {
-		for i, r := range e.rows {
-			slab.Put(r)
-			e.rows[i] = nil
-		}
-		if e.scratch != nil {
-			slab.Put(e.scratch)
-		}
-	}
-	e.scratch = nil
-	e.Reset()
 }
 
 func firstNonZero(v []byte) int {

@@ -38,9 +38,6 @@ type ClusterConfig struct {
 	PullPolicy string
 	// OnSegment observes every segment reconstructed by any server.
 	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
-	// DecodeWorkers gives every server a decode worker pool of this size
-	// (see ServerConfig.DecodeWorkers). Zero keeps decodes synchronous.
-	DecodeWorkers int
 	// Fleet runs the servers as a sharded fleet: a consistent-hash ring
 	// partitions the segment space across them, misrouted blocks are
 	// recoded and exchanged server-to-server, and a shared delivery
@@ -283,7 +280,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Seed:           srvSeed,
 			Policy:         policy,
 			SampleInterval: cfg.Node.SampleInterval,
-			DecodeWorkers:  cfg.DecodeWorkers,
 		}
 		if cfg.Membership {
 			srvCfg.Peers = nil

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,6 +17,53 @@ import (
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
 )
+
+// buildSegmentStream precomputes numSegs segments plus an interleaved
+// stream of coded blocks (round-robin across segments, so several
+// collections complete close together).
+func buildSegmentStream(numSegs, size, payloadLen int) (map[rlnc.SegmentID][][]byte, []*rlnc.CodedBlock) {
+	drv := rand.New(rand.NewSource(31))
+	crng := randx.New(77)
+	originals := make(map[rlnc.SegmentID][][]byte, numSegs)
+	perSeg := make([][]*rlnc.CodedBlock, numSegs)
+	for i := 0; i < numSegs; i++ {
+		blocks := make([][]byte, size)
+		for j := range blocks {
+			blocks[j] = make([]byte, payloadLen)
+			drv.Read(blocks[j])
+		}
+		seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 42, Seq: uint64(i)}, blocks)
+		if err != nil {
+			panic(err)
+		}
+		originals[seg.ID] = blocks
+		src := seg.SourceBlocks()
+		// size+3 random recodings virtually guarantee full rank.
+		for k := 0; k < size+3; k++ {
+			perSeg[i] = append(perSeg[i], rlnc.Recode(src, crng))
+		}
+	}
+	var stream []*rlnc.CodedBlock
+	for k := 0; k < size+3; k++ {
+		for i := 0; i < numSegs; i++ {
+			stream = append(stream, perSeg[i][k])
+		}
+	}
+	return originals, stream
+}
+
+// waitForReceived polls until the server has taken n blocks off the wire.
+func waitForReceived(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if srv.Stats().BlocksReceived >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("server did not drain %d blocks in time", n)
+}
 
 // crashServerConfig is the durable standalone server the crash tests run:
 // SyncAlways so every logged block survives the crash and recovery must

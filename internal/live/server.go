@@ -86,14 +86,6 @@ type ServerConfig struct {
 	// (Prometheus /metrics, JSON /debug/snapshot, pprof) on the given
 	// address for the server's lifetime. Use ":0" for an ephemeral port.
 	DebugAddr string
-	// DecodeWorkers moves the end-of-segment payload solve off the receive
-	// loop onto this many worker goroutines. Collections then defer all
-	// payload elimination (rlnc deferred decoders), so the per-block cost on
-	// the pull path drops to the rank update, and completed segments decode
-	// concurrently. OnSegment still fires in completion order. Zero keeps
-	// the synchronous in-loop decode. Rank accounting, feedback, and
-	// decoded bytes are identical either way.
-	DecodeWorkers int
 
 	// Shards makes this server one shard of an N_s-server fleet: a
 	// consistent-hash ring partitions the segment space, the pull policy
@@ -141,8 +133,6 @@ func (c ServerConfig) validate() error {
 		return errors.New("live: negative SegmentSize")
 	case c.FinishedCap < 0:
 		return errors.New("live: negative FinishedCap")
-	case c.DecodeWorkers < 0:
-		return errors.New("live: negative DecodeWorkers")
 	case c.Shards < 0:
 		return errors.New("live: negative Shards")
 	}
@@ -177,9 +167,8 @@ type Server struct {
 	cfg ServerConfig
 	tr  transport.Transport
 
-	// OnSegment is invoked (from the receive loop or the decode pool's
-	// delivery goroutine) with the original blocks of each segment as soon
-	// as it decodes.
+	// OnSegment is invoked from the receive loop with the original blocks
+	// of each segment as soon as it decodes.
 	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
 
 	mu       sync.Mutex
@@ -211,7 +200,6 @@ type Server struct {
 	obsCollect    *obs.Histogram
 	obsDecode     *obs.Histogram
 	obsPending    *obs.Gauge
-	obsDecodeQ    *obs.Gauge
 	obsOutbox     *obs.Gauge
 	obsOpenSeries *obs.TimeSeries
 	debug         *obs.DebugServer
@@ -261,7 +249,6 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	s.obsCollect = s.reg.Histogram("collectionTime", obs.ExpBuckets(0.125, 2, 14))
 	s.obsDecode = s.reg.Histogram("decodeLatency", obs.ExpBuckets(1e-6, 4, 14))
 	s.obsPending = s.reg.Gauge("outstandingPulls")
-	s.obsDecodeQ = s.reg.Gauge("decodeQueueDepth")
 	s.obsOutbox = s.reg.Gauge("outboxDepth")
 	s.obsOpenSeries = s.reg.TimeSeries("openDecoders", obsSeriesCap)
 	if rt, ok := s.tracer.(*obs.RingTracer); ok {
@@ -277,14 +264,12 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	svcCfg := collect.Config{
 		SegmentSize:   cfg.SegmentSize,
 		FinishedCap:   cfg.FinishedCap,
-		DecodeWorkers: cfg.DecodeWorkers,
 		Policy:        policy,
 		Sink:          s.counters,
 		Tracer:        s.tracer,
 		Actor:         uint64(tr.LocalID()),
 		CollectTime:   s.obsCollect,
 		DecodeLatency: s.obsDecode,
-		DecodeQueue:   s.obsDecodeQ,
 		Durability:    cfg.Durability,
 	}
 	if cfg.Durability.Dir != "" {
@@ -427,8 +412,7 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 	s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStop, T: s.now(), Actor: uint64(s.tr.LocalID())})
 	// The receive loop has exited, so no further blocks arrive: the service
-	// drains its decode pool, delivering everything queued, then releases
-	// store state.
+	// releases store state.
 	s.svc.Close()
 	if s.debug != nil {
 		s.debug.Close() //nolint:errcheck // shutdown path

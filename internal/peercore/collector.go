@@ -16,14 +16,6 @@ type CollectorConfig struct {
 	// ignores payloads. The simulator's pooled ground-truth observer (the
 	// IndependentServers rank decoder) runs in this mode.
 	RankOnly bool
-	// DeferPayload opens payload-carrying collections with a deferred
-	// decoder: Receive performs only the rank-update coefficient
-	// elimination, and the O(s²·payloadLen) payload solve runs inside
-	// Decode. Innovation verdicts, ranks, and decoded bytes are identical;
-	// the cost just moves from the pull path to the (offloadable) decode
-	// call. Deferred collections hold pooled rows — call Release when a
-	// collection is discarded.
-	DeferPayload bool
 }
 
 // PullOutcome reports how a received block advanced a collection.
@@ -97,11 +89,6 @@ func (c *Collection) Recode(rng *randx.Rand) *rlnc.CodedBlock { return c.dec.Rec
 // rebuilds it from them.
 func (c *Collection) RangeBasis(f func(coeffs, payload []byte)) { c.dec.RangeBasis(f) }
 
-// Release returns the collection's decoder storage to the slab free list
-// (meaningful for deferred collections; harmless otherwise). Call it after
-// the final Decode, once the collection has been forgotten.
-func (c *Collection) Release() { c.dec.Release() }
-
 // Collector is the server collection state machine: one Collection per
 // segment it has seen or been told about. Not safe for concurrent use;
 // drivers serialize access.
@@ -133,13 +120,10 @@ func (c *Collector) Open(seg rlnc.SegmentID, payloadLen int) *Collection {
 		if c.cfg.RankOnly {
 			payloadLen = 0
 		}
-		var dec *rlnc.Decoder
-		if c.cfg.DeferPayload && payloadLen > 0 {
-			dec = rlnc.NewDeferredDecoder(seg, c.cfg.SegmentSize, payloadLen)
-		} else {
-			dec = rlnc.NewDecoder(seg, c.cfg.SegmentSize, payloadLen)
+		col = &Collection{
+			dec:        rlnc.NewDecoder(seg, c.cfg.SegmentSize, payloadLen),
+			payloadLen: payloadLen,
 		}
-		col = &Collection{dec: dec, payloadLen: payloadLen}
 		c.segs[seg] = col
 	}
 	return col
@@ -178,7 +162,6 @@ func (c *Collector) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*
 			err = errors.New("dependent basis row")
 		}
 		if err != nil {
-			col.Release()
 			c.Forget(seg)
 			return nil, fmt.Errorf("peercore: Restore(%v): basis row %d: %w", seg, i, err)
 		}

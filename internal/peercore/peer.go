@@ -259,16 +259,13 @@ func (p *Peer) SampleSegment() (rlnc.SegmentID, bool) {
 
 // Recode produces a fresh coded block of the segment from the buffered
 // blocks, as gossip and pull-serve require. It panics when the segment is
-// not buffered (a protocol-logic error in the driver). With Recycle
-// enabled the output buffers come from the slab free list; the receiving
-// peer's Store (or an explicit rlnc.ReleaseBlock) recycles them.
+// not buffered (a protocol-logic error in the driver). The output buffers
+// come from the slab free list; with Recycle enabled the receiving peer's
+// Store (or an explicit rlnc.ReleaseBlock) hands them back.
 func (p *Peer) Recode(seg rlnc.SegmentID) *rlnc.CodedBlock {
 	h := p.holdings[seg]
 	if h == nil {
 		panic("peercore: Recode of segment not buffered")
-	}
-	if p.cfg.Recycle {
-		return h.RecodePooled(p.rng)
 	}
 	return h.Recode(p.rng)
 }

@@ -53,23 +53,7 @@ func benchmarkChoose(b *testing.B, p Policy) {
 	}
 }
 
-func BenchmarkChooseBlind(b *testing.B)      { benchmarkChoose(b, Blind{}) }
-func BenchmarkChooseRankGreedy(b *testing.B) { benchmarkChoose(b, NewRankGreedy()) }
+func BenchmarkChooseBlind(b *testing.B) { benchmarkChoose(b, Blind{}) }
 func BenchmarkChooseRarestFirst(b *testing.B) {
 	benchmarkChoose(b, NewRarestFirst(RarestConfig{Seed: 1}))
-}
-
-func BenchmarkFeedbackRankGreedy(b *testing.B) {
-	p := NewRankGreedy()
-	populate(p, 32, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Feedback(Feedback{
-			Peer:    PeerRef(i % 32),
-			Seg:     rlnc.SegmentID{Origin: 1, Seq: uint64(i % 256)},
-			Useful:  true,
-			Deficit: 1 + i%8,
-		})
-	}
 }

@@ -10,15 +10,12 @@
 // which segment a collector requests is known to cut that overhead
 // dramatically (Li–Soljanin–Spasojević, "Collecting Coded Coupons over
 // Generations", arXiv:1002.1406). This package provides the paper baseline
-// and two feedback-driven alternatives behind one Policy interface:
+// and a feedback-driven alternative behind one Policy interface:
 //
 //   - Blind: the paper's §2 behavior, byte-for-byte. It consults only
 //     Env.SamplePeer (the driver's own RNG draw) and never hints, so a
 //     seeded run with Blind is indistinguishable from one without the
 //     scheduler.
-//   - RankGreedy: hints the known undelivered segment with the largest
-//     remaining collection deficit and stops asking for delivered segments.
-//     It learns purely from pull feedback.
 //   - RarestFirst: maintains compact per-peer inventory digests
 //     (piggybacked on pull replies on request) and pulls the undelivered
 //     segment with the fewest known holders, from a peer known to hold it.
@@ -101,12 +98,11 @@ type Policy interface {
 // Policy registry names accepted by New.
 const (
 	NameBlind       = "blind"
-	NameRankGreedy  = "rankgreedy"
 	NameRarestFirst = "rarest"
 )
 
 // Names lists the registered policy names, Blind first.
-func Names() []string { return []string{NameBlind, NameRankGreedy, NameRarestFirst} }
+func Names() []string { return []string{NameBlind, NameRarestFirst} }
 
 // New builds a policy by registry name. The empty name selects Blind (the
 // paper-faithful default). The seed drives only policy-internal tie-breaks
@@ -116,8 +112,6 @@ func New(name string, seed int64) (Policy, error) {
 	switch name {
 	case "", NameBlind:
 		return Blind{}, nil
-	case NameRankGreedy:
-		return NewRankGreedy(), nil
 	case NameRarestFirst:
 		return NewRarestFirst(RarestConfig{Seed: seed}), nil
 	default:

@@ -74,75 +74,6 @@ func TestBlindPassthrough(t *testing.T) {
 	}
 }
 
-func TestRankGreedyMaxDeficit(t *testing.T) {
-	p := NewRankGreedy()
-	env := &scriptEnv{peers: []PeerRef{1, 1, 1, 1}}
-
-	// No knowledge yet: blind decision.
-	d, ok := p.Choose(0, env)
-	if !ok || d.HasHint {
-		t.Fatalf("empty policy Choose = %+v, %v; want unhinted", d, ok)
-	}
-
-	p.Feedback(Feedback{Peer: 1, Seg: seg(1, 1), Useful: true, Deficit: 2})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Useful: true, Deficit: 6})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(3, 9), Useful: true, Deficit: 4})
-	if p.Known() != 3 {
-		t.Fatalf("Known = %d, want 3", p.Known())
-	}
-
-	d, ok = p.Choose(1, env)
-	if !ok || !d.HasHint || d.Hint != seg(2, 5) {
-		t.Fatalf("Choose = %+v, %v; want hint on max-deficit 2/5", d, ok)
-	}
-	if d.WantInventory {
-		t.Fatal("RankGreedy requested an inventory")
-	}
-
-	// Deficit updates reorder the hint.
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Useful: true, Deficit: 1})
-	if d, _ := p.Choose(2, env); d.Hint != seg(3, 9) {
-		t.Fatalf("hint after update = %v, want 3/9", d.Hint)
-	}
-
-	// Delivered segments are dropped and never hinted again.
-	p.Feedback(Feedback{Peer: 1, Seg: seg(3, 9), Useful: true, Done: true})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Deficit: 0})
-	if p.Known() != 1 {
-		t.Fatalf("Known after delivery = %d, want 1", p.Known())
-	}
-	if d, _ := p.Choose(3, env); d.Hint != seg(1, 1) {
-		t.Fatalf("hint after deliveries = %v, want 1/1", d.Hint)
-	}
-}
-
-func TestRankGreedyTieBreaksDeterministic(t *testing.T) {
-	feed := func(p *RankGreedy) {
-		p.Feedback(Feedback{Seg: seg(1, 1), Useful: true, Deficit: 3})
-		p.Feedback(Feedback{Seg: seg(2, 2), Useful: true, Deficit: 3})
-		p.Feedback(Feedback{Seg: seg(3, 3), Useful: true, Deficit: 3})
-	}
-	a, b := NewRankGreedy(), NewRankGreedy()
-	feed(a)
-	feed(b)
-	da, _ := a.Choose(0, &scriptEnv{peers: []PeerRef{1}})
-	db, _ := b.Choose(0, &scriptEnv{peers: []PeerRef{1}})
-	if da.Hint != db.Hint {
-		t.Fatalf("tie broke differently: %v vs %v", da.Hint, db.Hint)
-	}
-	if da.Hint != seg(1, 1) {
-		t.Fatalf("tie = %v, want earliest-learned 1/1", da.Hint)
-	}
-}
-
-func TestRankGreedyEmptyFeedbackIgnored(t *testing.T) {
-	p := NewRankGreedy()
-	p.Feedback(Feedback{Peer: 1, Empty: true})
-	if p.Known() != 0 {
-		t.Fatalf("Known = %d after empty feedback", p.Known())
-	}
-}
-
 func TestRarestFirstBootstrap(t *testing.T) {
 	p := NewRarestFirst(RarestConfig{Seed: 1})
 	env := &scriptEnv{peers: []PeerRef{9}}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"p2pcollect/internal/gf256"
-	"p2pcollect/internal/gfmat"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/slab"
 )
@@ -118,26 +117,10 @@ func (s *Segment) Encode(rng *randx.Rand) *CodedBlock {
 // exactly as in the paper's gossip step. At least one coefficient is forced
 // non-zero so the output is never the zero vector. All inputs must share the
 // segment ID, coefficient width, and payload presence; violations panic as
-// programming errors.
+// programming errors. The output buffers come from the slab free list: the
+// caller owns them and may hand them back with ReleaseBlock once the block
+// leaves circulation, or simply drop them for the garbage collector.
 func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	if len(blocks) == 0 {
-		panic("rlnc: Recode with no blocks")
-	}
-	first := blocks[0]
-	out := &CodedBlock{Seg: first.Seg, Coeffs: make([]byte, len(first.Coeffs))}
-	if first.Payload != nil {
-		out.Payload = make([]byte, len(first.Payload))
-	}
-	RecodeInto(out, blocks, rng)
-	return out
-}
-
-// RecodePooled is Recode with the output buffers drawn from the slab free
-// list. The caller owns the result; hand the buffers back with
-// ReleaseBlock when the block leaves circulation. The coefficient draw
-// order is identical to Recode, so seeded runs are unaffected by which
-// variant produced a block.
-func RecodePooled(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
 	}
@@ -146,16 +129,15 @@ func RecodePooled(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
 	if first.Payload != nil {
 		out.Payload = slab.Get(len(first.Payload))
 	}
-	RecodeInto(out, blocks, rng)
+	recodeInto(out, blocks, rng)
 	return out
 }
 
-// RecodeInto recodes into a caller-provided block, allocating nothing. out
+// recodeInto recodes into a caller-provided block, allocating nothing. out
 // must carry Coeffs of the input width and, when the inputs have payloads,
 // a Payload of the input payload length (both are zeroed here); its Seg is
-// overwritten. This is the steady-state form: gossip and pull loops reuse
-// one output block per send.
-func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
+// overwritten.
+func recodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
 	}
@@ -164,17 +146,28 @@ func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 	hasPayload := first.Payload != nil
 	if len(out.Coeffs) != width || (out.Payload != nil) != hasPayload ||
 		(hasPayload && len(out.Payload) != len(first.Payload)) {
-		panic("rlnc: RecodeInto output shape mismatch")
+		panic("rlnc: recodeInto output shape mismatch")
+	}
+	for _, b := range blocks {
+		if b.Seg != first.Seg || len(b.Coeffs) != width || (b.Payload != nil) != hasPayload {
+			panic("rlnc: Recode over mismatched blocks")
+		}
 	}
 	out.Seg = first.Seg
 	clear(out.Coeffs)
 	clear(out.Payload)
-	// Index of the block that gets a guaranteed non-zero coefficient.
-	anchor := rng.Intn(len(blocks))
-	for i, b := range blocks {
-		if b.Seg != first.Seg || len(b.Coeffs) != width || (b.Payload != nil) != hasPayload {
-			panic("rlnc: Recode over mismatched blocks")
-		}
+	combine(out.Coeffs, out.Payload, len(blocks), rng, func(i int) ([]byte, []byte) {
+		return blocks[i].Coeffs, blocks[i].Payload
+	})
+}
+
+// combine adds a random linear combination of n rows into coeffs and, when
+// payload is non-nil, payload. It draws the index of the row whose
+// coefficient is forced non-zero first, then one coefficient per row in
+// order — the draw order every seeded run pins.
+func combine(coeffs, payload []byte, n int, rng *randx.Rand, row func(i int) (coeffs, payload []byte)) {
+	anchor := rng.Intn(n)
+	for i := 0; i < n; i++ {
 		var c byte
 		if i == anchor {
 			c = rng.Coefficient()
@@ -184,9 +177,10 @@ func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 		if c == 0 {
 			continue
 		}
-		gf256.AddMulSlice(out.Coeffs, c, b.Coeffs)
-		if hasPayload {
-			gf256.AddMulSlice(out.Payload, c, b.Payload)
+		rc, rp := row(i)
+		gf256.AddMulSlice(coeffs, c, rc)
+		if payload != nil {
+			gf256.AddMulSlice(payload, c, rp)
 		}
 	}
 }
@@ -221,22 +215,11 @@ type Decoder struct {
 	coeffs     [][]byte
 	payloads   [][]byte
 
-	// Deferred mode: Add eliminates coefficients only (for the innovation
-	// check) and keeps raw copies of the accepted blocks; Decode solves the
-	// whole system in one batched augmented elimination. This moves the
-	// O(s²·payloadLen) payload work out of Add — off the receive path —
-	// while producing byte-identical originals (full-rank linear systems
-	// have a unique solution).
-	deferred    bool
-	rawCoeffs   [][]byte
-	rawPayloads [][]byte
-
 	// Reusable reduction buffers: a redundant Add reduces the candidate to
 	// zero in scratch and allocates nothing; an innovative Add promotes the
 	// scratch rows into the basis.
 	scratchC []byte
 	scratchP []byte
-	pooled   bool // all row storage comes from the slab free list
 }
 
 // NewDecoder returns a decoder for the given segment with segment size s.
@@ -248,32 +231,6 @@ func NewDecoder(seg SegmentID, size, payloadLen int) *Decoder {
 		panic("rlnc: negative payload length")
 	}
 	return &Decoder{seg: seg, size: size, payloadLen: payloadLen}
-}
-
-// NewDecoderPooled is NewDecoder with all row storage drawn from the slab
-// free list. Call Release when the decoder is dropped so the rows return to
-// the pool.
-func NewDecoderPooled(seg SegmentID, size, payloadLen int) *Decoder {
-	d := NewDecoder(seg, size, payloadLen)
-	d.pooled = true
-	return d
-}
-
-// NewDeferredDecoder returns a pooled decoder that postpones all payload
-// elimination to Decode: Add performs the rank-only coefficient reduction
-// (cheap, O(s²) per block) and stashes a raw copy of each innovative block;
-// Decode solves the accumulated s×s system against the s×payloadLen
-// right-hand side in one batched augmented elimination. Rank, Complete, and
-// the innovation verdicts match the eager decoder exactly, and Decode
-// returns byte-identical originals. payloadLen must be positive.
-func NewDeferredDecoder(seg SegmentID, size, payloadLen int) *Decoder {
-	if payloadLen <= 0 {
-		panic("rlnc: deferred decoder needs a payload")
-	}
-	d := NewDecoder(seg, size, payloadLen)
-	d.deferred = true
-	d.pooled = true
-	return d
 }
 
 // SegmentID returns the segment the decoder reconstructs.
@@ -304,16 +261,14 @@ func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	if d.Complete() {
 		return false, nil
 	}
-	carryPayload := d.payloadLen > 0 && !d.deferred
 	v := d.scratchCoeffs()
 	copy(v, b.Coeffs)
 	var p []byte
-	if carryPayload {
+	if d.payloadLen > 0 {
 		p = d.scratchPayload()
 		copy(p, b.Payload)
 	}
-	// Reduce against the existing basis, carrying the payload along (eager
-	// mode only; deferred mode reduces coefficients alone).
+	// Reduce against the existing basis, carrying the payload along.
 	for idx, piv := range d.pivots {
 		if f := v[piv]; f != 0 {
 			gf256.AddMulSlice(v, f, d.coeffs[idx])
@@ -360,16 +315,11 @@ func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	copy(d.coeffs[pos+1:], d.coeffs[pos:])
 	d.coeffs[pos] = v
 	d.scratchC = nil // promoted into the basis
-	if carryPayload {
+	if p != nil {
 		d.payloads = append(d.payloads, nil)
 		copy(d.payloads[pos+1:], d.payloads[pos:])
 		d.payloads[pos] = p
 		d.scratchP = nil
-	}
-	if d.deferred {
-		// Stash the untouched block for the batched end-of-segment solve.
-		d.rawCoeffs = append(d.rawCoeffs, slab.GetCopy(b.Coeffs))
-		d.rawPayloads = append(d.rawPayloads, slab.GetCopy(b.Payload))
 	}
 	return true, nil
 }
@@ -396,23 +346,16 @@ func (d *Decoder) AddBatch(blocks []*CodedBlock) (int, error) {
 
 func (d *Decoder) scratchCoeffs() []byte {
 	if d.scratchC == nil {
-		d.scratchC = d.newRow(d.size)
+		d.scratchC = make([]byte, d.size)
 	}
 	return d.scratchC[:d.size]
 }
 
 func (d *Decoder) scratchPayload() []byte {
 	if d.scratchP == nil {
-		d.scratchP = d.newRow(d.payloadLen)
+		d.scratchP = make([]byte, d.payloadLen)
 	}
 	return d.scratchP[:d.payloadLen]
-}
-
-func (d *Decoder) newRow(n int) []byte {
-	if d.pooled {
-		return slab.Get(n)
-	}
-	return make([]byte, n)
 }
 
 // Recode returns one fresh random linear combination of the decoder's
@@ -420,17 +363,12 @@ func (d *Decoder) newRow(n int) []byte {
 // used for shard-to-shard exchange of partial collection state. The
 // combination spans the rank-r subspace the decoder has accumulated, so a
 // receiver missing any of those dimensions almost surely gains rank from
-// it. One coefficient is forced non-zero exactly as in RecodeInto, so the
-// output is never the zero vector. Returns nil for a rank-0 decoder (there
-// is nothing to combine) and for rank-only decoders (no payload to carry).
+// it. It draws coefficients exactly as Recode does over the basis rows, so
+// the output is never the zero vector. Returns nil for a rank-0 decoder
+// (there is nothing to combine) and for rank-only decoders (no payload to
+// carry).
 func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
-	rows, payloads := d.coeffs, d.payloads
-	if d.deferred {
-		// Deferred decoders keep the raw innovative blocks; their span equals
-		// the reduced basis's, and they carry the payloads.
-		rows, payloads = d.rawCoeffs, d.rawPayloads
-	}
-	if len(rows) == 0 || d.payloadLen == 0 || len(payloads) != len(rows) {
+	if len(d.coeffs) == 0 || d.payloadLen == 0 {
 		return nil
 	}
 	out := &CodedBlock{
@@ -438,74 +376,27 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 		Coeffs:  make([]byte, d.size),
 		Payload: make([]byte, d.payloadLen),
 	}
-	anchor := rng.Intn(len(rows))
-	for i := range rows {
-		var c byte
-		if i == anchor {
-			c = rng.Coefficient()
-		} else {
-			c = byte(rng.Intn(256))
-		}
-		if c == 0 {
-			continue
-		}
-		gf256.AddMulSlice(out.Coeffs, c, rows[i])
-		gf256.AddMulSlice(out.Payload, c, payloads[i])
-	}
+	combine(out.Coeffs, out.Payload, len(d.coeffs), rng, func(i int) ([]byte, []byte) {
+		return d.coeffs[i], d.payloads[i]
+	})
 	return out
 }
 
 // RangeBasis visits Rank() coded-block rows spanning exactly the decoder's
-// received space, in a stable order — the durable store snapshots these.
+// received space, in pivot order — the durable store snapshots these.
 // Re-adding every visited row (as coeffs/payload of a CodedBlock) to a
 // fresh decoder of the same shape reproduces the same rank, the same
 // innovation verdict for any future block, and byte-identical decoded
-// originals at full rank. Eager decoders yield their reduced basis rows;
-// deferred decoders yield the stashed raw blocks (the reduced rows carry
-// no payload there). payload is nil for rank-only decoders. The visited
-// slices alias decoder storage — copy before retaining.
+// originals at full rank. payload is nil for rank-only decoders. The
+// visited slices alias decoder storage — copy before retaining.
 func (d *Decoder) RangeBasis(f func(coeffs, payload []byte)) {
-	rows, payloads := d.coeffs, d.payloads
-	if d.deferred {
-		rows, payloads = d.rawCoeffs, d.rawPayloads
-	}
-	for i, r := range rows {
+	for i, r := range d.coeffs {
 		var p []byte
-		if i < len(payloads) {
-			p = payloads[i]
+		if i < len(d.payloads) {
+			p = d.payloads[i]
 		}
 		f(r, p)
 	}
-}
-
-// Release hands the decoder's row storage back to the slab free list (for
-// pooled decoders) and empties the decoder. The caller must not retain
-// slices previously returned by a deferred Decode's internal buffers; the
-// decoded originals themselves are freshly allocated and stay valid.
-func (d *Decoder) Release() {
-	if d.pooled {
-		for _, r := range d.coeffs {
-			slab.Put(r)
-		}
-		for _, r := range d.payloads {
-			slab.Put(r)
-		}
-		for _, r := range d.rawCoeffs {
-			slab.Put(r)
-		}
-		for _, r := range d.rawPayloads {
-			slab.Put(r)
-		}
-		slab.Put(d.scratchC)
-		slab.Put(d.scratchP)
-	}
-	d.pivots = nil
-	d.coeffs = nil
-	d.payloads = nil
-	d.rawCoeffs = nil
-	d.rawPayloads = nil
-	d.scratchC = nil
-	d.scratchP = nil
 }
 
 // Decode returns the s original blocks in order. It fails with
@@ -518,34 +409,11 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	if d.payloadLen == 0 {
 		return nil, ErrNoPayload
 	}
-	if d.deferred {
-		return d.decodeDeferred()
-	}
 	// At full rank the reduced form is the identity, so rows are already the
 	// originals ordered by pivot.
 	out := make([][]byte, d.size)
 	for idx, piv := range d.pivots {
 		out[piv] = append([]byte(nil), d.payloads[idx]...)
-	}
-	return out, nil
-}
-
-// decodeDeferred solves coeffs·X = payloads over the s stashed raw blocks
-// in one batched augmented elimination. The system has full rank by
-// construction (only innovative blocks were stashed), so the solution is
-// unique and equals what eager per-block elimination would have produced.
-func (d *Decoder) decodeDeferred() ([][]byte, error) {
-	m := gfmat.FromRows(d.rawCoeffs)
-	rhs := gfmat.FromRows(d.rawPayloads)
-	x, err := m.Solve(rhs)
-	if err != nil {
-		// Unreachable when the bookkeeping is correct; surface it rather
-		// than panic so a corrupted stream degrades gracefully.
-		return nil, fmt.Errorf("rlnc: deferred decode: %w", err)
-	}
-	out := make([][]byte, d.size)
-	for i := range out {
-		out[i] = append([]byte(nil), x.Row(i)...)
 	}
 	return out, nil
 }

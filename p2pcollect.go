@@ -277,7 +277,7 @@ func NewUDPTransportOpts(id NodeID, addr string, book map[NodeID]string, opts UD
 }
 
 // PullPolicies lists the built-in pull-scheduling policy names: "blind"
-// (the paper-faithful baseline), "rankgreedy", and "rarest". The same
+// (the paper-faithful baseline) and "rarest". The same
 // names select a policy in SimConfig.PullPolicy and
 // ClusterConfig.PullPolicy.
 func PullPolicies() []string { return pullsched.Names() }
