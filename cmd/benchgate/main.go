@@ -1,6 +1,7 @@
 // Command benchgate compares a `go test -bench` run against a committed
 // baseline JSON (BENCH_*.json) and fails the build on performance
-// regressions. Two rules:
+// regressions. Each rule applies to a benchmark's median over the samples
+// in the run, so run it with -count=N (N odd, ≥ 5) to outvote noise:
 //
 //   - ns/op may not regress by more than -tolerance (default 30%) over the
 //     baseline for any benchmark present in the baseline;
@@ -10,7 +11,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/gf256 ... | benchgate -baseline BENCH_coding.json
+//	go test -run '^$' -bench . -benchmem -count=5 ./internal/gf256 ... | benchgate -baseline BENCH_coding.json
 //	benchgate -baseline BENCH_coding.json -input bench.txt
 //	benchgate -baseline BENCH_coding.json -input bench.txt -update   # rewrite baseline from run
 //

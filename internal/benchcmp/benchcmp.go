@@ -55,12 +55,13 @@ func LoadBaseline(path string) (*Baseline, error) {
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // ParseBenchOutput reads `go test -bench -benchmem` text output, possibly
-// spanning several packages, and returns measured results keyed
-// "shortpkg.BenchmarkName" — the same key shape the baselines use. The
-// short package name is the last element of the `pkg:` header go test
-// prints before each package's benchmarks.
-func ParseBenchOutput(r io.Reader) (map[string]Result, error) {
-	out := make(map[string]Result)
+// spanning several packages, and returns every measured sample keyed
+// "shortpkg.BenchmarkName" — the same key shape the baselines use — in
+// the order they were printed, so a `-count=N` run yields N samples per
+// benchmark. The short package name is the last element of the `pkg:`
+// header go test prints before each package's benchmarks.
+func ParseBenchOutput(r io.Reader) (map[string][]Result, error) {
+	out := make(map[string][]Result)
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -106,7 +107,7 @@ func ParseBenchOutput(r io.Reader) (map[string]Result, error) {
 		if pkg != "" {
 			key = pkg + "." + name
 		}
-		out[key] = res
+		out[key] = append(out[key], res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -128,11 +129,37 @@ type Report struct {
 	Checked int
 }
 
-// Compare applies the gate rules: every baseline benchmark must be present
-// in the run; ns/op may not exceed baseline*(1+tolerance); a baseline of 0
-// allocs/op must stay at 0. Benchmarks in the run but not the baseline are
-// ignored.
-func Compare(b *Baseline, run map[string]Result, tolerance float64) Report {
+// Median returns the per-field median of a benchmark's samples (the mean
+// of the middle two for an even count): one slow sample from a noisy
+// neighbour cannot move it, where the last or the mean would.
+func Median(samples []Result) Result {
+	field := func(get func(Result) float64) float64 {
+		v := make([]float64, len(samples))
+		for i, r := range samples {
+			v[i] = get(r)
+		}
+		sort.Float64s(v)
+		n := len(v)
+		if n == 0 {
+			return 0
+		}
+		if n%2 == 1 {
+			return v[n/2]
+		}
+		return (v[n/2-1] + v[n/2]) / 2
+	}
+	return Result{
+		NsPerOp:     field(func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  field(func(r Result) float64 { return r.BytesPerOp }),
+		AllocsPerOp: field(func(r Result) float64 { return r.AllocsPerOp }),
+	}
+}
+
+// Compare applies the gate rules to each benchmark's median over its
+// samples: every baseline benchmark must be present in the run; ns/op may
+// not exceed baseline*(1+tolerance); a baseline of 0 allocs/op must stay
+// at 0. Benchmarks in the run but not the baseline are ignored.
+func Compare(b *Baseline, run map[string][]Result, tolerance float64) Report {
 	var rep Report
 	keys := make([]string, 0, len(b.Benchmarks))
 	for k := range b.Benchmarks {
@@ -141,13 +168,14 @@ func Compare(b *Baseline, run map[string]Result, tolerance float64) Report {
 	sort.Strings(keys)
 	for _, k := range keys {
 		base := b.Benchmarks[k]
-		got, ok := run[k]
+		samples, ok := run[k]
 		if !ok {
 			rep.Problems = append(rep.Problems,
 				fmt.Sprintf("%s: in baseline but missing from this run — gate coverage would rot", k))
 			continue
 		}
 		rep.Checked++
+		got := Median(samples)
 		ratio := 0.0
 		if base.NsPerOp > 0 {
 			ratio = got.NsPerOp / base.NsPerOp
@@ -165,23 +193,23 @@ func Compare(b *Baseline, run map[string]Result, tolerance float64) Report {
 				fmt.Sprintf("%s: %g allocs/op on a 0-alloc hot path (baseline 0)", k, got.AllocsPerOp))
 		}
 		rep.Lines = append(rep.Lines,
-			fmt.Sprintf("%-5s %-50s %10.4g ns/op (baseline %.4g, %.2fx) %g allocs/op (baseline %g)",
-				status, k, got.NsPerOp, base.NsPerOp, ratio, got.AllocsPerOp, base.AllocsPerOp))
+			fmt.Sprintf("%-5s %-50s %10.4g ns/op (median of %d; baseline %.4g, %.2fx) %g allocs/op (baseline %g)",
+				status, k, got.NsPerOp, len(samples), base.NsPerOp, ratio, got.AllocsPerOp, base.AllocsPerOp))
 	}
 	return rep
 }
 
-// UpdateFrom rewrites the baseline's benchmark numbers (and date) from a
-// measured run and writes it back to path. Only benchmarks already enrolled
-// in the baseline are updated; a benchmark missing from the run is an
-// error, so -update can never silently shrink the gate.
-func (b *Baseline) UpdateFrom(run map[string]Result, path string) error {
+// UpdateFrom rewrites the baseline's benchmark numbers (and date) from the
+// medians of a measured run and writes it back to path. Only benchmarks
+// already enrolled in the baseline are updated; a benchmark missing from
+// the run is an error, so -update can never silently shrink the gate.
+func (b *Baseline) UpdateFrom(run map[string][]Result, path string) error {
 	for k := range b.Benchmarks {
-		got, ok := run[k]
+		samples, ok := run[k]
 		if !ok {
 			return fmt.Errorf("cannot update: baseline benchmark %s missing from this run", k)
 		}
-		b.Benchmarks[k] = got
+		b.Benchmarks[k] = Median(samples)
 	}
 	b.Date = time.Now().Format("2006-01-02")
 	return b.Write(path)

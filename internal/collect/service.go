@@ -24,22 +24,26 @@ import (
 	"p2pcollect/internal/rlnc"
 )
 
-// Pull-feedback outcome counters. Every policy.Feedback call is classified
-// into exactly one bucket, so the exposition layer shows how the server's
-// pull budget is spent: useful (rank growth), redundant (finished segment or
-// non-innovative block), or empty (peer had nothing).
+// Pull-feedback outcome counters. Every pull reply is classified into
+// exactly one bucket, so the exposition layer shows how the server's pull
+// budget is spent: useful (rank growth), redundant (finished segment or
+// non-innovative block), or empty (peer had nothing). storeErrors counts
+// every block, pulled or not, whose Store.Receive failed: a durability
+// fault, never mistaken for redundancy and never fed to the policy.
 const (
 	fbUseful = iota
 	fbRedundant
 	fbEmpty
+	fbStoreError
 
 	numFeedbackCounters
 )
 
 var feedbackCounterNames = [numFeedbackCounters]string{
-	fbUseful:    "pullschedFeedbackUseful",
-	fbRedundant: "pullschedFeedbackRedundant",
-	fbEmpty:     "pullschedFeedbackEmpty",
+	fbUseful:     "pullschedFeedbackUseful",
+	fbRedundant:  "pullschedFeedbackRedundant",
+	fbEmpty:      "pullschedFeedbackEmpty",
+	fbStoreError: "storeErrors",
 }
 
 // Config parameterizes a collection service.
@@ -103,7 +107,8 @@ type BlockResult struct {
 	Owned bool
 	// Finished: the segment was already completed; the block was dropped.
 	Finished bool
-	// Rejected: the block was malformed and no state moved.
+	// Rejected: the store refused the block (malformed, or a storage
+	// failure counted as storeErrors) and no collection state moved.
 	Rejected bool
 	// Trace is the segment's effective sampled lineage after this block —
 	// the context adopted when the segment was first seen traced, or the
@@ -239,11 +244,12 @@ func (s *Service) Store() store.Store { return s.st }
 func (s *Service) OpenCount() int { return s.st.OpenCount() }
 
 // Redundant returns the count of blocks that advanced nothing: finished-
-// segment, malformed, or non-innovative.
+// segment or non-innovative. Blocks the store failed to receive are counted
+// as storeErrors instead.
 func (s *Service) Redundant() int64 { return s.redundant }
 
-// RangeFeedback visits the pull-feedback outcome counters (concurrency-safe;
-// registries scrape this).
+// RangeFeedback visits the pull-feedback outcome counters and the
+// storeErrors counter (concurrency-safe; registries scrape this).
 func (s *Service) RangeFeedback(f func(name string, v int64)) { s.fb.Range(f) }
 
 // Owns reports whether the segment is in this service's universe.
@@ -312,10 +318,7 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	tid, hop := res.Trace.ID, res.Trace.Hop
 	out, col, err := s.st.Receive(now, cb)
 	if err != nil {
-		s.redundant++
-		if pulled {
-			s.fb.Add(fbRedundant, 1)
-		}
+		s.fb.Add(fbStoreError, 1)
 		res.Rejected = true
 		return res
 	}

@@ -1,40 +1,36 @@
 // Package des implements a minimal discrete-event simulation kernel: a
-// simulated clock, a pending-event heap with stable FIFO ordering for
-// simultaneous events, and cancellable timers.
+// simulated clock and a pending-event heap with stable FIFO ordering for
+// simultaneous events.
 //
 // The kernel is deliberately small; the domain logic (gossip, pulls, TTL,
-// churn) lives in package sim and schedules plain callbacks here.
+// churn) lives in package sim and schedules plain callbacks here. Events
+// cannot be cancelled: a model whose scheduled callback may outlive its
+// reason (a TTL for a block already purged) checks that itself when the
+// callback runs, as package sim does with peer generations and block
+// identity.
 package des
 
-import "container/heap"
-
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it before it fires.
-type Event struct {
-	time      float64
-	seq       uint64
-	index     int // heap index, -1 once removed
-	cancelled bool
-	fn        func()
+// event is one scheduled callback, stored by value in the heap.
+type event struct {
+	time float64
+	seq  uint64 // scheduling order; breaks ties between equal times
+	fn   func()
 }
 
-// Time returns the simulated time at which the event fires (or fired).
-func (e *Event) Time() float64 { return e.time }
-
-// Cancel prevents the event's callback from running. Cancelling an event
-// that already fired or was already cancelled is a no-op. Cancelled events
-// are removed lazily when they surface at the top of the heap.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// before is the heap order: by time, then by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	return e.seq < o.seq
+}
 
 // Sim is a discrete-event simulator. The zero value is ready to use and
 // starts at time 0.
 type Sim struct {
 	now    float64
 	seq    uint64
-	queue  eventQueue
+	queue  []event // 4-ary min-heap in (time, seq) order
 	nRun   uint64
 	halted bool
 }
@@ -48,47 +44,35 @@ func (s *Sim) Now() float64 { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.nRun }
 
-// Pending returns the number of events in the queue, including events that
-// were cancelled but not yet discarded.
+// Pending returns the number of events in the queue.
 func (s *Sim) Pending() int { return len(s.queue) }
 
 // At schedules fn at absolute simulated time t. Scheduling in the past
 // (t < Now) panics: it indicates a logic error in the model.
-func (s *Sim) At(t float64, fn func()) *Event {
+func (s *Sim) At(t float64, fn func()) {
 	if t < s.now {
 		panic("des: scheduling into the past")
 	}
-	e := &Event{time: t, seq: s.seq, fn: fn}
+	s.push(event{time: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
 }
 
 // After schedules fn after a delay d from the current time.
-func (s *Sim) After(d float64, fn func()) *Event {
+func (s *Sim) After(d float64, fn func()) {
 	if d < 0 {
 		panic("des: negative delay")
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // Step executes the next event, advancing the clock. It returns false when
 // the queue is empty.
 func (s *Sim) Step() bool {
-	for len(s.queue) > 0 {
-		e, ok := heap.Pop(&s.queue).(*Event)
-		if !ok {
-			panic("des: corrupt queue")
-		}
-		if e.cancelled {
-			continue
-		}
-		s.now = e.time
-		s.nRun++
-		e.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	s.run(s.pop())
+	return true
 }
 
 // RunUntil executes events until the clock would pass the horizon or the
@@ -96,19 +80,8 @@ func (s *Sim) Step() bool {
 // time); events scheduled beyond the horizon remain queued.
 func (s *Sim) RunUntil(horizon float64) {
 	s.halted = false
-	for len(s.queue) > 0 && !s.halted {
-		e := s.queue[0]
-		if e.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if e.time > horizon {
-			break
-		}
-		heap.Pop(&s.queue)
-		s.now = e.time
-		s.nRun++
-		e.fn()
+	for len(s.queue) > 0 && !s.halted && s.queue[0].time <= horizon {
+		s.run(s.pop())
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -126,40 +99,62 @@ func (s *Sim) Run() {
 // Halt stops RunUntil/Run after the currently executing event returns.
 func (s *Sim) Halt() { s.halted = true }
 
-// eventQueue is a min-heap ordered by (time, seq) so that simultaneous
-// events run in scheduling order.
-type eventQueue []*Event
+func (s *Sim) run(e event) {
+	s.now = e.time
+	s.nRun++
+	e.fn()
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// push adds e to the heap, sifting it up from the new leaf. Parent of
+// node i is (i-1)/4.
+func (s *Sim) push(e event) {
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = e
+	s.queue = q
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
-		panic("des: pushing non-event")
+// pop removes and returns the earliest event. The queue must be non-empty.
+// The vacated tail slot is zeroed so the heap holds no reference to a
+// callback that already ran.
+func (s *Sim) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return top
 	}
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	// Sift last down from the root; children of node i are 4i+1..4i+4.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
 }

@@ -53,31 +53,6 @@ func TestAfter(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.At(1, func() { fired = true })
-	e.Cancel()
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-	s.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelFromEarlierEvent(t *testing.T) {
-	s := New()
-	fired := false
-	late := s.At(5, func() { fired = true })
-	s.At(1, func() { late.Cancel() })
-	s.Run()
-	if fired {
-		t.Error("event cancelled mid-run still fired")
-	}
-}
-
 func TestRunUntilHorizon(t *testing.T) {
 	s := New()
 	var count int
@@ -191,6 +166,90 @@ func TestHeapStress(t *testing.T) {
 	}
 	if s.Processed() != 5000 {
 		t.Errorf("Processed = %d, want 5000", s.Processed())
+	}
+}
+
+// TestPropertyStableOrder drives the kernel with seeded random schedules:
+// integer times with many exact ties, events scheduled from inside
+// callbacks (zero delays tie with the running event), RunUntil horizons and
+// Halt. Whatever the interleaving, the execution order must equal a stable
+// sort of every scheduled event by time, keeping scheduling order on ties.
+func TestPropertyStableOrder(t *testing.T) {
+	type rec struct {
+		time float64
+		id   int
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var scheduled, ran []rec
+		haltedAt := -1
+		var schedule func(at float64)
+		schedule = func(at float64) {
+			r := rec{time: at, id: len(scheduled)}
+			scheduled = append(scheduled, r)
+			s.At(at, func() {
+				if s.Now() != r.time {
+					t.Fatalf("seed %d: event %d ran at %v, scheduled for %v", seed, r.id, s.Now(), r.time)
+				}
+				ran = append(ran, r)
+				for k := rng.Intn(3); k > 0 && len(scheduled) < 3000; k-- {
+					schedule(s.Now() + float64(rng.Intn(4)))
+				}
+				if rng.Intn(40) == 0 {
+					s.Halt()
+					haltedAt = len(ran)
+				}
+			})
+		}
+		for i := 0; i < 300; i++ {
+			schedule(float64(rng.Intn(40)))
+		}
+		for s.Pending() > 0 {
+			haltedAt = -1
+			before := len(ran)
+			horizon := s.Now() + float64(rng.Intn(6)) + 0.5*float64(rng.Intn(2))
+			s.RunUntil(horizon)
+			for _, r := range ran[before:] {
+				if r.time > horizon {
+					t.Fatalf("seed %d: event at %v ran before horizon %v", seed, r.time, horizon)
+				}
+			}
+			switch {
+			case haltedAt >= 0 && haltedAt != len(ran):
+				t.Fatalf("seed %d: %d events ran after Halt", seed, len(ran)-haltedAt)
+			case haltedAt < 0 && s.Pending() > 0 && s.queue[0].time <= horizon:
+				t.Fatalf("seed %d: event at %v left queued at horizon %v", seed, s.queue[0].time, horizon)
+			}
+		}
+		want := append([]rec(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].time < want[j].time })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d events, scheduled %d", seed, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i] {
+				t.Fatalf("seed %d: position %d ran %+v, want %+v", seed, i, ran[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScheduleAndPopAllocFree pins the hot path: once the queue's backing
+// array has grown, scheduling a pre-built callback and popping the next
+// event allocates nothing.
+func TestScheduleAndPopAllocFree(t *testing.T) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.After(float64(i%7), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(3, fn)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule+pop allocated %v times per op, want 0", allocs)
 	}
 }
 

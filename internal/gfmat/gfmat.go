@@ -216,6 +216,11 @@ type Echelon struct {
 	// coding traffic mostly consists of redundant arrivals, this removes
 	// the per-arrival allocation from the innovation check.
 	scratch []byte
+	// spare holds the row buffers Reset retired. scratchRow draws from it
+	// before allocating, so rebuilding a basis after Reset allocates
+	// nothing. Every row is echelon-owned memory (Insert copies its input),
+	// so handing a retired row back out as scratch cannot alias a caller.
+	spare [][]byte
 }
 
 // NewEchelon returns an empty basis for vectors of the given width.
@@ -252,23 +257,19 @@ func (e *Echelon) Insert(v []byte) bool {
 	return true
 }
 
-// scratchRow returns the reusable width-sized reduction buffer, allocating
-// it if the previous one was promoted into the basis.
+// scratchRow returns the reusable width-sized reduction buffer. When the
+// previous one was promoted into the basis it takes a row Reset retired,
+// and allocates only when none is left.
 func (e *Echelon) scratchRow() []byte {
 	if e.scratch == nil {
-		e.scratch = make([]byte, e.width)
+		if n := len(e.spare); n > 0 {
+			e.scratch = e.spare[n-1]
+			e.spare = e.spare[:n-1]
+		} else {
+			e.scratch = make([]byte, e.width)
+		}
 	}
-	return e.scratch[:e.width]
-}
-
-// InsertOwned is like Insert but takes ownership of v, which may be
-// modified and retained. Use it to avoid a copy when the caller no longer
-// needs the vector.
-func (e *Echelon) InsertOwned(v []byte) bool {
-	if len(v) != e.width {
-		panic(fmt.Sprintf("gfmat: echelon width %d, vector width %d", e.width, len(v)))
-	}
-	return e.insertOwned(v)
+	return e.scratch
 }
 
 func (e *Echelon) insertOwned(v []byte) bool {
@@ -322,8 +323,10 @@ func (e *Echelon) Contains(v []byte) bool {
 	return firstNonZero(w) < 0
 }
 
-// Reset empties the basis, retaining capacity where possible.
+// Reset empties the basis. Its row buffers are kept as spare scratch rows,
+// so reinserting up to the old rank allocates nothing.
 func (e *Echelon) Reset() {
+	e.spare = append(e.spare, e.rows...)
 	e.pivots = e.pivots[:0]
 	e.rows = e.rows[:0]
 }

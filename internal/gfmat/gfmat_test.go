@@ -268,6 +268,32 @@ func TestEchelonReset(t *testing.T) {
 	}
 }
 
+// TestEchelonResetReusesRows pins that a basis rebuilt after Reset runs on
+// the retired rows: reinserting a full basis allocates nothing, and the
+// reused rows leave no trace of their old contents in later verdicts.
+func TestEchelonResetReusesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := randomMatrix(rng, 8, 8)
+	e := NewEchelon(8)
+	for i := 0; i < m.Rows(); i++ {
+		e.Insert(m.Row(i))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		e.Reset()
+		for i := 0; i < m.Rows(); i++ {
+			e.Insert(m.Row(i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuild after Reset allocated %v times per run, want 0", allocs)
+	}
+	e.Reset()
+	e.Insert([]byte{0, 1, 0, 0, 0, 0, 0, 0})
+	if e.Rank() != 1 || e.Contains([]byte{1, 0, 0, 0, 0, 0, 0, 0}) || !e.Contains([]byte{0, 7, 0, 0, 0, 0, 0, 0}) {
+		t.Fatalf("basis after Reset is wrong: rank %d", e.Rank())
+	}
+}
+
 func TestEchelonWidthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -15,6 +15,11 @@ type Holding struct {
 	size   int
 	blocks []*CodedBlock
 	ech    *gfmat.Echelon
+	// stale marks ech as spanning blocks removed since it was built. A
+	// holding often loses several blocks to TTL expiry, or empties and is
+	// dropped, before the next block arrives, so Remove only sets this and
+	// Add rebuilds ech from the survivors when a block needs checking.
+	stale bool
 }
 
 // NewHolding returns an empty holding for the segment with size s.
@@ -32,13 +37,15 @@ func (h *Holding) SegmentID() SegmentID { return h.seg }
 // independent blocks are kept).
 func (h *Holding) Len() int { return len(h.blocks) }
 
-// Rank returns the rank of the stored blocks.
-func (h *Holding) Rank() int { return h.ech.Rank() }
+// Rank returns the rank of the stored blocks. It is exact without
+// consulting the echelon: the stored blocks are linearly independent, and
+// removing some keeps the rest so.
+func (h *Holding) Rank() int { return len(h.blocks) }
 
 // Full reports whether the holding already has s independent blocks, i.e.
 // the peer no longer "needs blocks of this segment" in the gossip target
 // rule.
-func (h *Holding) Full() bool { return h.ech.Full() }
+func (h *Holding) Full() bool { return len(h.blocks) == h.size }
 
 // Blocks returns the stored blocks. The slice is shared; callers must not
 // modify it.
@@ -50,6 +57,13 @@ func (h *Holding) Add(b *CodedBlock) bool {
 	if b.Seg != h.seg || len(b.Coeffs) != h.size {
 		panic("rlnc: adding mismatched block to holding")
 	}
+	if h.stale {
+		h.ech.Reset()
+		for _, kept := range h.blocks {
+			h.ech.Insert(kept.Coeffs)
+		}
+		h.stale = false
+	}
 	if !h.ech.Insert(b.Coeffs) {
 		return false
 	}
@@ -57,17 +71,14 @@ func (h *Holding) Add(b *CodedBlock) bool {
 	return true
 }
 
-// Remove deletes the i-th stored block (TTL expiry) and rebuilds the rank
-// structure from the survivors.
+// Remove deletes the i-th stored block (TTL expiry). The rank structure is
+// rebuilt from the survivors by the next Add.
 func (h *Holding) Remove(i int) {
 	last := len(h.blocks) - 1
 	h.blocks[i] = h.blocks[last]
 	h.blocks[last] = nil
 	h.blocks = h.blocks[:last]
-	h.ech.Reset()
-	for _, b := range h.blocks {
-		h.ech.Insert(b.Coeffs)
-	}
+	h.stale = true
 }
 
 // RemoveBlock deletes the given block by identity and reports whether it was
